@@ -763,7 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--stats", action="store_true", help="print VM counters")
     run.add_argument("--engine", choices=["baseline", "compiled"], default=None,
                      help="dispatch engine: classic if/elif interpreter or "
-                     "precompiled closures (default: REPRO_ENGINE or baseline)")
+                     "precompiled closures (default: REPRO_ENGINE or compiled)")
     run.add_argument("--time", action="store_true",
                      help="print instructions, instr/sec, and final byte-clock")
     _add_obs_flags(run)
@@ -798,8 +798,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="sampling RNG seed for reproducible runs "
                          "(default 0; CI gates pin it)")
     profile.add_argument("--engine", choices=["baseline", "compiled"], default=None,
-                         help="dispatch engine (profiles are bit-identical "
-                         "either way)")
+                         help="dispatch engine (default: REPRO_ENGINE or "
+                         "compiled; profiles are bit-identical either way)")
     profile.add_argument("--snapshot", metavar="FILE",
                          help="also capture a heap snapshot at every deep-GC "
                          "safepoint into this file (analyze with "
@@ -877,7 +877,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     optimize.add_argument(
         "--engine", choices=["baseline", "compiled"], default=None,
-        help="VM engine for profiling and verification runs",
+        help="VM engine for profiling and verification runs "
+        "(default: REPRO_ENGINE or compiled)",
     )
     optimize.add_argument(
         "--snapshot", action="store_true",

@@ -50,7 +50,7 @@ def _format_group(
         anchor = anchor_site(group, program)
         if anchor is not None and anchor != group.key:
             lines.append(f"    anchor site: {anchor}")
-    uses = group.partition_by_last_use()
+    uses = analysis.last_use_groups(group)
     if len(uses) > 1 or (len(uses) == 1 and None not in uses):
         top_uses = sorted(uses.values(), key=lambda g: -g.total_drag)[:3]
         for use_group in top_uses:

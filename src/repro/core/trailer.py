@@ -149,7 +149,7 @@ class ObjectRecord:
     @property
     def in_use_time(self) -> int:
         """Length of the in-use interval [creation, last use]."""
-        if self.never_used:
+        if self.last_use_time == 0:
             return 0
         return self.last_use_time - self.creation_time
 
@@ -157,8 +157,9 @@ class ObjectRecord:
     def drag_time(self) -> int:
         """Time reachable but not in use: collection − last use (or
         collection − creation for never-used objects)."""
-        start = self.creation_time if self.never_used else self.last_use_time
-        return max(0, self.collection_time - start)
+        last_use = self.last_use_time
+        time = self.collection_time - (self.creation_time if last_use == 0 else last_use)
+        return time if time > 0 else 0
 
     @property
     def drag(self) -> int:

@@ -71,36 +71,34 @@ def capture_snapshot(interp, reason: str = "deep-gc") -> HeapSnapshot:
     """Walk the heap of ``interp`` into a :class:`HeapSnapshot`."""
     program = interp.program
     site_labels: Dict[int, str] = {}
-
-    def site_of(obj: HeapObject) -> Optional[str]:
-        trailer = obj.trailer
-        if trailer is None or trailer.alloc_site is None:
-            return None
-        site = trailer.alloc_site
-        label = site_labels.get(site)
-        if label is None:
-            label = site_labels[site] = program.site(site).label
-        return label
-
     snapshot = HeapSnapshot(interp.heap.clock, reason)
+    nodes = snapshot.nodes
+    add_node = nodes.append
     root = SnapshotNode(ROOT_TYPE, None, 0, FLAG_SYNTHETIC)
-    snapshot.nodes.append(root)
+    add_node(root)
     index: Dict[int, int] = {}  # object handle -> node index
-    worklist: List[HeapObject] = []
+    # (edge list of the holder's node, instance fields or None, ref-array
+    # slots or None): the object's kind is tested once, when first seen,
+    # and leaf objects (primitive arrays) never enter the worklist.
+    worklist: List[tuple] = []
+    push = worklist.append
 
     def visit(obj: HeapObject) -> int:
-        node_index = index.get(obj.handle)
-        if node_index is None:
-            node_index = index[obj.handle] = len(snapshot.nodes)
-            snapshot.nodes.append(
-                SnapshotNode(
-                    obj.type_name(),
-                    site_of(obj),
-                    obj.size,
-                    FLAG_EXCLUDED if obj.excluded else 0,
-                )
-            )
-            worklist.append(obj)
+        """Index of a not-yet-seen object's new node."""
+        node_index = index[obj.handle] = len(nodes)
+        trailer = obj.trailer
+        site = None if trailer is None else trailer.alloc_site
+        label = site_labels.get(site)
+        if label is None and site is not None:
+            label = site_labels[site] = program.site(site).label
+        node = SnapshotNode(
+            obj.type_name(), label, obj.size, FLAG_EXCLUDED if obj.excluded else 0
+        )
+        add_node(node)
+        if isinstance(obj, Instance):
+            push((node.edges, obj.fields, None))
+        elif isinstance(obj, ArrayObject) and obj.elem_desc == "ref":
+            push((node.edges, None, obj.data))
         return node_index
 
     seen_roots = set()
@@ -109,20 +107,25 @@ def capture_snapshot(interp, reason: str = "deep-gc") -> HeapSnapshot:
         if key in seen_roots:
             continue
         seen_roots.add(key)
-        root.edges.append((visit(obj), label))
+        target = index.get(obj.handle)
+        root.edges.append((visit(obj) if target is None else target, label))
 
+    seen = index.get
     while worklist:
-        obj = worklist.pop()
-        node = snapshot.nodes[index[obj.handle]]
-        if isinstance(obj, Instance):
-            for field, value in obj.fields.items():
+        edges, fields, slots = worklist.pop()
+        add_edge = edges.append
+        if fields is not None:
+            for field, value in fields.items():
                 if isinstance(value, HeapObject):
-                    node.edges.append((visit(value), field))
-        elif isinstance(obj, ArrayObject):
-            if obj.elem_desc == "ref":
-                for value in obj.data:
-                    if isinstance(value, HeapObject):
-                        node.edges.append((visit(value), ARRAY_EDGE_LABEL))
+                    target = seen(value.handle)
+                    add_edge((visit(value) if target is None else target, field))
+        else:
+            for value in slots:
+                if isinstance(value, HeapObject):
+                    target = seen(value.handle)
+                    add_edge(
+                        (visit(value) if target is None else target, ARRAY_EDGE_LABEL)
+                    )
     return snapshot
 
 

@@ -294,7 +294,7 @@ class AssignNullPlanner(Transformation):
         # logical-size (array, count) pair — clear the removed slot.
         table = pctx.context.table
         for use_group in sorted(
-            group.partition_by_last_use().values(), key=lambda g: -g.total_drag
+            pctx.analysis.last_use_groups(group).values(), key=lambda g: -g.total_drag
         ):
             if use_group.key[1] is None:
                 continue

@@ -45,3 +45,21 @@ def run():
 @pytest.fixture
 def run_body():
     return run_main_body
+
+
+@pytest.fixture(scope="session")
+def all_profiles():
+    """Every registry benchmark profiled once per session (primary
+    input, its own deep-GC interval). Shared by the serve merge proofs
+    and the phase-2 digest tests."""
+    from repro.benchmarks.registry import all_benchmarks
+    from repro.benchmarks.runner import compile_benchmark
+    from repro.core.profiler import profile_program
+
+    out = {}
+    for name, bench in sorted(all_benchmarks().items()):
+        program = compile_benchmark(bench, revised=False)
+        out[name] = profile_program(
+            program, bench.args_for("primary"), interval_bytes=bench.interval_bytes
+        )
+    return out

@@ -146,12 +146,17 @@ class TestEngineFacade:
 
     def test_default_engine(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert VMConfig().engine == DEFAULT_ENGINE == "baseline"
+        assert VMConfig().engine == DEFAULT_ENGINE == "compiled"
 
     def test_env_var_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "compiled")
         program = compile_program(link(SOURCE), main_class="Main")
         assert type(create_vm(program)) is CompiledInterpreter
+
+    def test_env_var_selects_baseline_oracle(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "baseline")
+        program = compile_program(link(SOURCE), main_class="Main")
+        assert type(create_vm(program)) is Interpreter
 
     def test_env_var_rejects_unknown(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "turbo")

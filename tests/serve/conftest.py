@@ -1,26 +1,12 @@
-"""Shared profiles for the serve-daemon tests.
+"""Shared names for the serve-daemon tests.
 
-The merge-equals-batch property is claimed for *every* benchmark, so
-the fixture profiles all nine once per session (the same cost the
-engine-equivalence suite already pays) and the property test shards
-each record stream K ways from there.
+The merge-equals-batch property is claimed for *every* benchmark; the
+profiles come from the session-wide ``all_profiles`` fixture in
+``tests/conftest.py`` (the same cost the engine-equivalence suite
+already pays), and the property test shards each record stream K ways
+from there.
 """
 
-import pytest
-
 from repro.benchmarks.registry import all_benchmarks
-from repro.benchmarks.runner import compile_benchmark
-from repro.core.profiler import profile_program
 
 BENCHMARK_NAMES = sorted(all_benchmarks())
-
-
-@pytest.fixture(scope="session")
-def all_profiles():
-    out = {}
-    for name, bench in sorted(all_benchmarks().items()):
-        program = compile_benchmark(bench, revised=False)
-        out[name] = profile_program(
-            program, bench.args_for("primary"), interval_bytes=bench.interval_bytes
-        )
-    return out
